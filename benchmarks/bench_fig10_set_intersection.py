@@ -1,13 +1,14 @@
 """Figure 10: Hybrid vs QFilter-style intersection in the enumeration.
 
 The optimized GQL algorithm runs with the paper's hybrid merge/galloping
-kernel and with two models of QFilter, which bracket the real SIMD
-implementation from opposite sides in pure Python:
+kernel (``Hybrid``, `ScalarKernel` — pinned, so the ``auto`` backend
+choice never stands in for it) and with two models of QFilter, which
+bracket the real SIMD implementation from opposite sides in pure Python:
 
-* ``QFilter/BSR`` (`QFilterIndex`) — the faithful base-and-state layout;
+* ``QFilter/BSR`` (`QFilterKernel`) — the faithful base-and-state layout;
   Python pays its per-block merge in interpreted ops, exposing the
   *overhead* side (the paper's sparse-graph losses);
-* ``QFilter/bitmap`` (`BitmapSetIndex`) — one big-int ``&`` per
+* ``QFilter/bitmap`` (`BitmapKernel`) — one big-int ``&`` per
   intersection; near-free per element, exposing the *throughput* side
   (the paper's dense-graph wins).
 
@@ -28,7 +29,7 @@ from repro.core import get_algorithm
 from repro.core.spec import AlgorithmSpec
 from repro.enumeration import IntersectionLC
 from repro.study import format_series
-from repro.utils.intersection import BitmapSetIndex, QFilterIndex
+from repro.utils.kernels import BitmapKernel, QFilterKernel, ScalarKernel
 
 import dataclasses
 
@@ -40,12 +41,13 @@ def _kernel_spec(name: str, kernel) -> AlgorithmSpec:
 
 
 def _variants():
-    # Index objects (not bound methods) so IntersectionLC intersects in
-    # the packed domain and encode-caches only the auxiliary lists.
+    # Backend instances: an explicit kernel is never swapped for the
+    # session's auto choice, and the caching kernels intersect in their
+    # packed domain, encode-caching only the auxiliary lists.
     return {
-        "Hybrid": "GQL-opt",
-        "QFilter/BSR": _kernel_spec("GQL-bsr", QFilterIndex()),
-        "QFilter/bitmap": _kernel_spec("GQL-bitmap", BitmapSetIndex()),
+        "Hybrid": _kernel_spec("GQL-hybrid", ScalarKernel()),
+        "QFilter/BSR": _kernel_spec("GQL-bsr", QFilterKernel()),
+        "QFilter/bitmap": _kernel_spec("GQL-bitmap", BitmapKernel()),
     }
 
 

@@ -24,14 +24,14 @@ if __name__ == "__main__":  # standalone run: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.schema import BENCH_KERNELS_SCHEMA_VERSION, validate_bench_kernels
-from repro.utils.intersection import (
-    BitmapSetIndex,
-    QFilterIndex,
+from repro.utils.kernels import (
+    BitmapKernel,
+    QFilterKernel,
+    get_kernel,
     intersect_galloping,
     intersect_hybrid,
     intersect_merge,
 )
-from repro.utils.kernels import get_kernel
 
 _RNG = np.random.default_rng(7)
 
@@ -74,7 +74,7 @@ def bench_hybrid_skewed(benchmark):
 
 def bench_bitmap_dense_warm(benchmark):
     """Bitmap kernel with the layout already built (QFilter's steady state)."""
-    index = BitmapSetIndex()
+    index = BitmapKernel()
     index.intersect(DENSE_A, DENSE_B)  # warm the cache
     benchmark(index.intersect, DENSE_A, DENSE_B)
 
@@ -87,21 +87,21 @@ def bench_bitmap_sparse_cold(benchmark):
     """Bitmap kernel paying the encode cost every call (sparse worst case)."""
 
     def cold():
-        BitmapSetIndex().intersect(SKEWED_SMALL, SKEWED_LARGE)
+        BitmapKernel().intersect(SKEWED_SMALL, SKEWED_LARGE)
 
     benchmark(cold)
 
 
 def bench_bsr_dense_warm(benchmark):
     """BSR (QFilter) kernel with the layout already built, dense sets."""
-    index = QFilterIndex()
+    index = QFilterKernel()
     index.intersect(DENSE_A, DENSE_B)  # warm the cache
     benchmark(index.intersect, DENSE_A, DENSE_B)
 
 
 def bench_bsr_skewed_warm(benchmark):
     """BSR kernel on scattered values: ~1 element per block, pure overhead."""
-    index = QFilterIndex()
+    index = QFilterKernel()
     index.intersect(SKEWED_SMALL, SKEWED_LARGE)
     benchmark(index.intersect, SKEWED_SMALL, SKEWED_LARGE)
 
@@ -110,7 +110,7 @@ def bench_bsr_sparse_cold(benchmark):
     """BSR kernel paying the encode cost every call."""
 
     def cold():
-        QFilterIndex().intersect(SKEWED_SMALL, SKEWED_LARGE)
+        QFilterKernel().intersect(SKEWED_SMALL, SKEWED_LARGE)
 
     benchmark(cold)
 

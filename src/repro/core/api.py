@@ -23,12 +23,11 @@ from repro.core.result import MatchResult
 from repro.core.session import MatchSession
 from repro.core.spec import AlgorithmSpec
 from repro.graph.graph import Graph
-from repro.utils.kernels import KernelBackend
+from repro.utils.kernels import KernelLike
 
 __all__ = ["match", "count_matches", "has_match"]
 
 AlgorithmLike = Union[str, AlgorithmSpec]
-KernelLike = Union[str, KernelBackend]
 
 
 def match(

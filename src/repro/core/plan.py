@@ -45,7 +45,7 @@ from repro.graph.graph import Graph
 from repro.graph.ops import connected
 from repro.obs import Metrics, collecting, span
 from repro.ordering.dpiso import DPisoOrdering
-from repro.utils.kernels import KernelBackend, get_kernel
+from repro.utils.kernels import KernelLike, get_kernel
 from repro.utils.timer import Timer
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 AlgorithmLike = Union[str, AlgorithmSpec]
-KernelLike = Union[str, KernelBackend]
 
 
 def validate_query(query: Graph) -> None:

@@ -51,7 +51,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.plan import (
     AlgorithmLike,
-    KernelLike,
     LRUCache,
     MatchPlan,
     compile_plan,
@@ -71,7 +70,7 @@ from repro.obs import Metrics
 from repro.parallel.executor import ParallelContext
 from repro.parallel.pool import resolve_workers
 from repro.parallel.shared_graph import SharedGraph, SharedGraphHandle
-from repro.utils.kernels import KernelBackend
+from repro.utils.kernels import KernelLike
 
 __all__ = ["MatchSession", "MutationOutcome"]
 
@@ -328,10 +327,8 @@ class MatchSession:
     def _kernel_key(kernel: Optional[KernelLike]):
         if kernel is None or isinstance(kernel, str):
             return kernel
-        if isinstance(kernel, KernelBackend):
-            # A concrete backend instance is its own policy.
-            return id(kernel)
-        return repr(kernel)
+        # A concrete backend instance is its own policy.
+        return id(kernel)
 
     def compile(
         self,

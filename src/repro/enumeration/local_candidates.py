@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.filtering.auxiliary import AuxiliaryStructure
 from repro.filtering.base import ldf_check
 from repro.filtering.candidates import CandidateSets
 from repro.graph.graph import Graph
-from repro.utils.intersection import intersect_hybrid, multi_intersect
+from repro.utils.kernels import KernelLike, ScalarKernel, get_kernel
 
 __all__ = [
     "LCContext",
@@ -246,19 +246,17 @@ class TreeAdjacencyLC(LocalCandidateMethod):
 class IntersectionLC(LocalCandidateMethod):
     """Algorithm 5: intersect candidate adjacency over all backward neighbors.
 
-    ``kernel`` selects the intersection backend:
+    ``kernel`` selects the :class:`~repro.utils.kernels.KernelBackend`:
 
     * ``None`` (default) — the paper's scalar hybrid merge/galloping
-      method. :func:`repro.core.api.match` swaps in the session's
-      resolved :class:`~repro.utils.kernels.KernelBackend` for this
-      default; an explicitly passed kernel is never overridden.
+      method (:class:`~repro.utils.kernels.ScalarKernel`).
+      :func:`repro.core.api.match` swaps in the session's resolved
+      backend for this default; an explicitly passed kernel is never
+      overridden.
     * a registered backend name (``"scalar"``, ``"numpy"``, ``"bitset"``,
-      ``"qfilter"``, ``"auto"``) — resolved via
-      :func:`repro.utils.kernels.get_kernel`.
-    * a pairwise callable over sorted lists, or an object exposing
-      ``multi_intersect`` (a :class:`~repro.utils.kernels.KernelBackend`,
-      ``QFilterIndex``, ``BitmapSetIndex``) — index objects intersect in
-      their packed domain and encode-cache the long-lived auxiliary
+      ``"qfilter"``, ``"auto"``) or a backend instance — resolved via
+      :func:`repro.utils.kernels.get_kernel`. Caching backends intersect
+      in their packed domain and encode-cache the long-lived auxiliary
       lists, which is how Figure 10 models QFilter's one-time layout
       conversion.
     """
@@ -267,24 +265,12 @@ class IntersectionLC(LocalCandidateMethod):
     needs_candidates = True
     needs_auxiliary = True
 
-    def __init__(
-        self,
-        kernel: Optional[
-            Callable[[Sequence[int], Sequence[int]], List[int]]
-        ] = None,
-    ) -> None:
+    def __init__(self, kernel: KernelLike = None) -> None:
         #: True when no kernel was requested, letting ``match(kernel=...)``
         #: substitute the session backend without clobbering an explicit
         #: choice.
         self.uses_default_kernel = kernel is None
-        if kernel is None:
-            kernel = intersect_hybrid
-        elif isinstance(kernel, str):
-            from repro.utils.kernels import get_kernel
-
-            kernel = get_kernel(kernel)
-        self.kernel = kernel
-        self._index = kernel if hasattr(kernel, "multi_intersect") else None
+        self.kernel = ScalarKernel() if kernel is None else get_kernel(kernel)
 
     def compute(
         self,
@@ -303,6 +289,4 @@ class IntersectionLC(LocalCandidateMethod):
             aux.neighbors(w, u, mapping[w])  # type: ignore[union-attr]
             for w in backward
         ]
-        if self._index is not None:
-            return self._index.multi_intersect(lists)
-        return multi_intersect(lists, kernel=self.kernel)
+        return self.kernel.multi_intersect(lists)

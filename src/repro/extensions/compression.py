@@ -29,6 +29,7 @@ from itertools import combinations, permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.result import MatchResult
+from repro.enumeration.support import DEADLINE_STRIDE
 from repro.errors import BudgetExceeded
 from repro.filtering.base import ldf_candidates_for, nlf_check
 from repro.graph.graph import Graph
@@ -291,7 +292,15 @@ class _CompressedEnumerator:
         if len(local) < size:
             return
 
-        for chosen in combinations(local, size):
+        # A clique class walks C(|local|, size) subsets and may reject
+        # nearly all of them, so poll inside the walk, not just on entry.
+        for step, chosen in enumerate(combinations(local, size), 1):
+            if (
+                step % DEADLINE_STRIDE == 0
+                and self.deadline is not None
+                and self.deadline.expired()
+            ):
+                raise BudgetExceeded
             if c.clique[index] and not self._mutually_adjacent(chosen):
                 continue
             assignment[index] = chosen

@@ -64,7 +64,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.plan import AlgorithmLike, KernelLike, validate_query
+from repro.core.plan import AlgorithmLike, validate_query
 from repro.core.result import MatchResult
 from repro.core.session import MatchSession
 from repro.dynamic.mutations import Mutation
@@ -82,6 +82,7 @@ from repro.graph.graph import Graph
 from repro.graph.store import GraphSource, as_graph
 from repro.obs import Metrics, span
 from repro.serve.clock import Clock, SystemClock
+from repro.utils.kernels import KernelLike
 
 __all__ = ["MatchService", "ServeResponse", "ServiceMutation"]
 

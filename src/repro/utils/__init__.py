@@ -1,15 +1,7 @@
 """Shared low-level utilities: set-intersection kernels and timing helpers."""
 
-from repro.utils.intersection import (
-    BitmapSetIndex,
-    QFilterIndex,
-    intersect,
-    intersect_galloping,
-    intersect_hybrid,
-    intersect_merge,
-    multi_intersect,
-)
 from repro.utils.kernels import (
+    BitmapKernel,
     BitsetKernel,
     KernelBackend,
     NumpyKernel,
@@ -17,18 +9,18 @@ from repro.utils.kernels import (
     ScalarKernel,
     available_kernels,
     get_kernel,
+    intersect_galloping,
+    intersect_hybrid,
+    intersect_merge,
     register_kernel,
 )
 from repro.utils.timer import Deadline, Timer
 
 __all__ = [
-    "BitmapSetIndex",
-    "QFilterIndex",
-    "intersect",
     "intersect_galloping",
     "intersect_hybrid",
     "intersect_merge",
-    "multi_intersect",
+    "BitmapKernel",
     "BitsetKernel",
     "KernelBackend",
     "NumpyKernel",

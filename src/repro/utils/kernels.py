@@ -1,14 +1,19 @@
-"""Vectorized set-intersection kernel backends and their registry.
+"""Set-intersection kernels for sorted integer arrays, and their registry.
 
-Section 3.3.2 / Figure 10 of the paper show that set-intersection kernels
-dominate enumeration time once Algorithm 5 is in place. The scalar kernels
-in :mod:`repro.utils.intersection` stay faithful to the paper's analysis
-(merge vs galloping vs QFilter trade-offs), but they pay CPython's
-per-element interpretation cost on every probe. This module keeps the
-candidate data in numpy end-to-end instead:
+Section 3.3.2 of the paper: "We implement a hybrid set intersection method:
+if the cardinalities of two sets are similar, we use the merge-based method;
+otherwise, we adopt the Galloping algorithm." Figure 10 further compares the
+hybrid method against QFilter, a SIMD method with a compact bitmap-like
+layout that wins on dense graphs but pays a conversion overhead on sparse
+ones. Once Algorithm 5 is in place these kernels dominate enumeration time.
 
-* :class:`ScalarKernel` — the paper's hybrid merge/galloping kernel,
-  wrapped in the backend interface (the reference semantics);
+Every kernel is a :class:`KernelBackend`; the enumeration engine only calls
+``multi_intersect``:
+
+* :class:`ScalarKernel` — the paper's hybrid merge/galloping kernel over
+  Python lists (the reference semantics), built on the pairwise functions
+  :func:`intersect_merge`, :func:`intersect_galloping` and
+  :func:`intersect_hybrid`;
 * :class:`NumpyKernel` — ``np.intersect1d`` on contiguous sorted arrays
   when cardinalities are similar, a ``np.searchsorted``-based vectorized
   galloping pass when they are skewed;
@@ -17,49 +22,55 @@ candidate data in numpy end-to-end instead:
   ``np.unpackbits`` pass.  Wins when candidate sets are dense, pays the
   encode/decode overhead when they are sparse — the same trade-off the
   paper reports for QFilter;
-* :class:`QFilterKernel` — the base-and-state model from
-  :mod:`repro.utils.intersection`, registered so the property suite can
-  cross-check every backend against the merge reference.
+* :class:`QFilterKernel` — the faithful QFilter model: base-and-state
+  blocks, merged base arrays, per-block state ANDs — wins when values
+  cluster, pays block overhead when they scatter (Figure 10's trade-off);
+* :class:`BitmapKernel` — a simpler big-int bitmap kernel (one ``&`` over
+  the whole universe), kept for Figure 10 and the kernel micro-benchmarks.
+  It is not registered; callers pass an instance.
 
-Backends are resolved by name through :func:`get_kernel`; ``"auto"``
-(the default, also the ``REPRO_KERNEL`` environment fallback) picks the
-bitset kernel when the candidate sets are dense relative to the data
-graph and the numpy hybrid otherwise.
+Registered backends are resolved by name through :func:`get_kernel`;
+``"auto"`` (the default, also the ``REPRO_KERNEL`` environment fallback)
+picks the bitset kernel when the candidate sets are dense relative to the
+data graph and the numpy hybrid otherwise.
 
 All kernels expect **sorted, duplicate-free arrays (or lists) of
 non-negative ints** and return sorted results; numpy-backed kernels
-return ``np.ndarray`` views/arrays of dtype ``int64``.
+return ``np.ndarray`` views/arrays of dtype ``int64``, the others lists.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.intersection import (
-    GALLOP_RATIO,
-    QFilterIndex,
-    intersect_hybrid,
-    multi_intersect,
-)
 
 __all__ = [
+    "intersect_merge",
+    "intersect_galloping",
+    "intersect_hybrid",
     "KernelBackend",
+    "KernelLike",
     "ScalarKernel",
     "NumpyKernel",
     "BitsetKernel",
+    "BitmapKernel",
     "QFilterKernel",
     "available_kernels",
     "get_kernel",
     "register_kernel",
-    "kernel_name",
     "AUTO_DENSITY_THRESHOLD",
 ]
+
+#: Cardinality ratio above which the hybrid method switches from merge to
+#: galloping. 32 is the conventional crossover for scalar implementations.
+GALLOP_RATIO = 32
 
 #: Average candidate density (``avg |C(u)| / |V(G)|``) above which the auto
 #: heuristic switches from the numpy hybrid to the bitset kernel. Word-wise
@@ -75,6 +86,85 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 #: the out-of-core regime (memmap-backed graphs larger than RAM) needs
 #: this one unbounded per-graph cache to stop growing with the graph.
 DEFAULT_BITSET_CACHE_MB = 64.0
+
+
+# ----------------------------------------------------------------------
+# Pairwise scalar kernels (the paper's §3.3.2 methods)
+# ----------------------------------------------------------------------
+
+
+def intersect_merge(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Two-pointer merge intersection; O(|a| + |b|).
+
+    >>> intersect_merge([1, 3, 5, 7], [3, 4, 5, 6])
+    [3, 5]
+    """
+    result: List[int] = []
+    i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        x, y = a[i], b[j]
+        if x == y:
+            result.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return result
+
+
+def _gallop(haystack: Sequence[int], needle: int, lo: int) -> int:
+    """Exponential probe then binary search: first index ≥ needle from lo."""
+    hi = lo + 1
+    n = len(haystack)
+    while hi < n and haystack[hi] < needle:
+        lo = hi
+        hi = min(n, hi * 2)
+    return bisect_left(haystack, needle, lo, min(hi + 1, n))
+
+
+def intersect_galloping(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Galloping intersection; O(|small| · log |large|).
+
+    The smaller input drives the search regardless of argument order.
+
+    >>> intersect_galloping([5], list(range(0, 100, 5)))
+    [5]
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    result: List[int] = []
+    pos = 0
+    len_b = len(b)
+    for x in a:
+        pos = _gallop(b, x, pos)
+        if pos >= len_b:
+            break
+        if b[pos] == x:
+            result.append(x)
+            pos += 1
+    return result
+
+
+def intersect_hybrid(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The paper's hybrid kernel: merge when sizes are similar, else gallop.
+
+    >>> intersect_hybrid([2, 4, 6], [1, 2, 3, 4])
+    [2, 4]
+    """
+    if len(a) == 0 or len(b) == 0:
+        return []
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if len(large) > GALLOP_RATIO * len(small):
+        return intersect_galloping(small, large)
+    return intersect_merge(small, large)
+
+
+# ----------------------------------------------------------------------
+# Backends
+# ----------------------------------------------------------------------
 
 
 def _bitset_cache_budget() -> int:
@@ -140,8 +230,58 @@ class KernelBackend(ABC):
         return f"{type(self).__name__}()"
 
 
+class _IdentityCachedKernel(KernelBackend):
+    """A backend that packs each input once, memoized by object identity.
+
+    Candidate adjacency lists are immutable once built, so identity
+    caching is sound and models QFilter's one-time layout conversion.
+    Pass long-lived lists (e.g. candidate adjacency arrays), not
+    temporaries: the cache keeps every keyed object referenced until
+    :meth:`clear`. That reference is also what makes the key safe —
+    CPython recycles the ids of collected objects, so a bare id key could
+    silently alias a dead list's encoding.
+
+    Ids mean nothing in another process, and a recycled id there would
+    alias a different list, so pickling ships only the constructor
+    arguments (:meth:`_init_args`) and the clone starts with an empty
+    cache.
+    """
+
+    def __init__(self) -> None:
+        # id -> (keyed object, encoding).
+        self._cache: Dict[int, Tuple[Sequence[int], Any]] = {}
+
+    @abstractmethod
+    def encode(self, values: Sequence[int]) -> Any:
+        """Pack a sorted set into this kernel's layout (uncached)."""
+
+    def encode_cached(self, values: Sequence[int]) -> Any:
+        """Pack with memoization keyed on object identity."""
+        entry = self._cache.get(id(values))
+        if entry is None:
+            packed = self.encode(values)
+            self._cache[id(values)] = (values, packed)
+            return packed
+        return entry[1]
+
+    def clear(self) -> None:
+        """Drop all cached encodings."""
+        self._cache.clear()
+
+    def _init_args(self) -> tuple:
+        """The constructor arguments a pickled clone is rebuilt from."""
+        return ()
+
+    def __reduce__(self):
+        return type(self), self._init_args()
+
+
 class ScalarKernel(KernelBackend):
-    """The paper's scalar hybrid kernel behind the backend interface."""
+    """The paper's scalar hybrid kernel; the reference semantics.
+
+    >>> ScalarKernel().multi_intersect([[1, 2, 3, 4], [2, 4, 6], [0, 2, 4, 8]])
+    [2, 4]
+    """
 
     name = "scalar"
 
@@ -149,7 +289,21 @@ class ScalarKernel(KernelBackend):
         return intersect_hybrid(a, b)
 
     def multi_intersect(self, lists: Sequence[Sequence[int]]) -> List[int]:
-        return multi_intersect(lists, kernel=intersect_hybrid)
+        """Fold pairwise from a list copy of the smallest input.
+
+        The cost is proportional to the smallest input, matching the
+        analysis of Algorithm 5 in Section 3.3.2; the result is always a
+        fresh list, never one of the inputs.
+        """
+        if not lists:
+            raise ValueError("multi_intersect requires at least one list")
+        ordered = sorted(lists, key=len)
+        result = list(ordered[0])
+        for other in ordered[1:]:
+            if not result:
+                break
+            result = self.intersect(result, other)
+        return result
 
 
 class NumpyKernel(KernelBackend):
@@ -197,7 +351,7 @@ class NumpyKernel(KernelBackend):
         return result
 
 
-class BitsetKernel(KernelBackend):
+class BitsetKernel(_IdentityCachedKernel):
     """Packed-uint64 bitset intersection over the vertex universe.
 
     Each input is encoded once (cached by object identity, mirroring
@@ -217,12 +371,11 @@ class BitsetKernel(KernelBackend):
     __slots__ = ("_cache", "_budget_bytes", "_cached_bytes")
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
-        # id -> (keyed object, words). The object reference keeps the id
-        # alive; CPython recycles ids of collected objects. Ordered so
-        # the byte-budgeted eviction below can drop least-recently-used
-        # encodings first — without a bound this cache grows with the
-        # number of distinct candidate arrays, i.e. with the graph, which
-        # the out-of-core regime cannot afford.
+        super().__init__()
+        # Ordered so the byte-budgeted eviction below can drop
+        # least-recently-used encodings first — without a bound this
+        # cache grows with the number of distinct candidate arrays, i.e.
+        # with the graph, which the out-of-core regime cannot afford.
         self._cache: "OrderedDict[int, Tuple[Sequence[int], np.ndarray]]" = (
             OrderedDict()
         )
@@ -254,9 +407,7 @@ class BitsetKernel(KernelBackend):
     def encode_cached(self, values: Sequence[int]) -> np.ndarray:
         """Pack with memoization keyed on object identity.
 
-        Candidate adjacency arrays are immutable once built, so identity
-        caching is sound; pass long-lived arrays, not temporaries. The
-        cache holds at most ``REPRO_BITSET_CACHE_MB`` of encodings,
+        The cache holds at most ``REPRO_BITSET_CACHE_MB`` of encodings,
         evicting least-recently-used entries past the budget; an
         encoding alone larger than the whole budget is returned uncached.
         """
@@ -315,47 +466,169 @@ class BitsetKernel(KernelBackend):
             "budget_bytes": self._budget_bytes,
         }
 
-    def __getstate__(self) -> dict:
-        # The cache is keyed by object identity; ids do not survive a
-        # process boundary (and a recycled id in the receiving process
-        # would silently alias a different array). Ship the kernel empty.
-        # A falsy state would make pickle skip __setstate__ and leave the
-        # slot unset, hence the marker.
-        return {"cache": "dropped", "budget_bytes": self._budget_bytes}
-
-    def __setstate__(self, state: dict) -> None:
-        self._cache = OrderedDict()
-        self._cached_bytes = 0
-        self._budget_bytes = state.get(
-            "budget_bytes", _bitset_cache_budget()
-        )
+    def _init_args(self) -> tuple:
+        return (self._budget_bytes,)
 
 
-class QFilterKernel(KernelBackend):
-    """The base-and-state (BSR) QFilter model behind the backend interface."""
+class BitmapKernel(_IdentityCachedKernel):
+    """Big-int bitmap (QFilter-analog) intersection over the vertex universe.
+
+    Each input is encoded once as a Python big-int with bit ``v`` set for
+    each member ``v``. Intersection is then a single ``&`` — the
+    per-element cost is near zero, like QFilter's SIMD lanes — but
+    encoding and decoding are linear passes, modelling the layout overhead
+    that makes QFilter lose to the hybrid kernel on sparse graphs (paper
+    Figure 10). Not registered: Figure 10 passes an instance.
+
+    >>> BitmapKernel().intersect([1, 3, 5], [3, 4, 5])
+    [3, 5]
+    """
+
+    name = "bitmap"
+
+    def encode(self, values: Sequence[int]) -> int:
+        """Pack a set of ints into a bitmap (uncached)."""
+        bits = 0
+        for v in values:
+            # int() guards against numpy scalars: np.int64 << would
+            # overflow past bit 62, Python ints are arbitrary precision.
+            bits |= 1 << int(v)
+        return bits
+
+    @staticmethod
+    def decode(bits: int) -> List[int]:
+        """Unpack a bitmap into a sorted list of ints."""
+        result: List[int] = []
+        while bits:
+            low = bits & -bits
+            result.append(low.bit_length() - 1)
+            bits ^= low
+        return result
+
+    def intersect(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
+        """Intersect two sorted lists through their bitmap encodings."""
+        return self.decode(self.encode_cached(a) & self.encode_cached(b))
+
+    def multi_intersect(self, lists: Sequence[Sequence[int]]) -> List[int]:
+        """Intersect several sorted lists through bitmaps."""
+        if not lists:
+            raise ValueError("multi_intersect requires at least one list")
+        bits = self.encode_cached(lists[0])
+        for other in lists[1:]:
+            if not bits:
+                break
+            bits &= self.encode_cached(other)
+        return self.decode(bits)
+
+
+_Packed = Tuple[List[int], List[int]]
+
+
+class QFilterKernel(_IdentityCachedKernel):
+    """Base-and-state (BSR) intersection — the closest Python model of QFilter.
+
+    QFilter (Han, Zou & Yu, SIGMOD'18) packs a sorted set into blocks:
+    per block a *base* (the high bits) and a *state* bitmap of which of
+    the next ``block_bits`` values are present; intersection merges the
+    base arrays and ANDs the states of matching blocks.
+
+    This reproduces QFilter's *trade-off*, not just its wins: when
+    values cluster (dense neighborhoods), each base comparison covers
+    many elements and the kernel beats element-wise merging; when values
+    are scattered (sparse graphs), blocks hold ~1 element each and the
+    base merge plus mask decoding is pure overhead — the crossover the
+    paper's Figure 10 reports.
+
+    >>> QFilterKernel().intersect([1, 3, 5, 200], [3, 5, 6, 200])
+    [3, 5, 200]
+    """
 
     name = "qfilter"
 
     def __init__(self, block_bits: int = 64) -> None:
-        self._index = QFilterIndex(block_bits=block_bits)
+        if block_bits < 2 or block_bits & (block_bits - 1):
+            raise ValueError("block_bits must be a power of two >= 2")
+        super().__init__()
+        self.block_bits = block_bits
+
+    def _init_args(self) -> tuple:
+        return (self.block_bits,)
+
+    def encode(self, values: Sequence[int]) -> _Packed:
+        """Pack a sorted list into parallel (bases, states) arrays."""
+        shift = self.block_bits.bit_length() - 1
+        mask = self.block_bits - 1
+        bases: List[int] = []
+        states: List[int] = []
+        for v in values:
+            v = int(v)  # numpy scalars would overflow the state shifts
+            base = v >> shift
+            if bases and bases[-1] == base:
+                states[-1] |= 1 << (v & mask)
+            else:
+                bases.append(base)
+                states.append(1 << (v & mask))
+        return bases, states
+
+    @staticmethod
+    def _intersect_packed(a: _Packed, b: _Packed) -> _Packed:
+        """Merge two BSR encodings without decoding (the QFilter inner loop)."""
+        bases_a, states_a = a
+        bases_b, states_b = b
+        out_bases: List[int] = []
+        out_states: List[int] = []
+        i = j = 0
+        len_a, len_b = len(bases_a), len(bases_b)
+        while i < len_a and j < len_b:
+            base_a, base_b = bases_a[i], bases_b[j]
+            if base_a == base_b:
+                bits = states_a[i] & states_b[j]
+                if bits:
+                    out_bases.append(base_a)
+                    out_states.append(bits)
+                i += 1
+                j += 1
+            elif base_a < base_b:
+                i += 1
+            else:
+                j += 1
+        return out_bases, out_states
+
+    def decode(self, packed: _Packed) -> List[int]:
+        """Unpack a BSR encoding into a sorted list."""
+        shift = self.block_bits.bit_length() - 1
+        result: List[int] = []
+        for base, bits in zip(*packed):
+            prefix = base << shift
+            while bits:
+                low = bits & -bits
+                result.append(prefix | (low.bit_length() - 1))
+                bits ^= low
+        return result
 
     def intersect(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        return self._index.intersect(a, b)
+        """Intersect two sorted lists through their BSR encodings."""
+        return self.decode(
+            self._intersect_packed(
+                self.encode_cached(a), self.encode_cached(b)
+            )
+        )
 
     def multi_intersect(self, lists: Sequence[Sequence[int]]) -> List[int]:
-        return self._index.multi_intersect(lists)
+        """Intersect several sorted lists entirely in the packed domain.
 
-    def clear(self) -> None:
-        self._index.clear()
-
-    def __getstate__(self) -> dict:
-        # QFilterIndex memoizes encodings by object identity — same
-        # cross-process hazard as BitsetKernel. Only the configuration
-        # crosses the boundary; the receiver re-encodes lazily.
-        return {"block_bits": self._index.block_bits}
-
-    def __setstate__(self, state: dict) -> None:
-        self._index = QFilterIndex(block_bits=state["block_bits"])
+        Only the *input* lists are encode-cached; intermediates never
+        leave BSR form, so nothing short-lived enters the cache.
+        """
+        if not lists:
+            raise ValueError("multi_intersect requires at least one list")
+        ordered = sorted(lists, key=len)
+        packed = self.encode_cached(ordered[0])
+        for other in ordered[1:]:
+            if not packed[0]:
+                break
+            packed = self._intersect_packed(packed, self.encode_cached(other))
+        return self.decode(packed)
 
 
 # ----------------------------------------------------------------------
@@ -397,6 +670,8 @@ def _auto_backend(data=None, candidates=None) -> KernelBackend:
     return NumpyKernel()
 
 
+#: What every ``kernel=`` parameter accepts: a registry name, a backend
+#: instance, or ``None`` for the ``REPRO_KERNEL``/auto default.
 KernelLike = Union[str, KernelBackend, None]
 
 
@@ -406,7 +681,8 @@ def get_kernel(name: KernelLike = None, *, data=None, candidates=None) -> Kernel
     ``None`` falls back to the ``REPRO_KERNEL`` environment variable, then
     to ``"auto"``. ``"auto"`` consults the optional ``data``/``candidates``
     context (candidate density) and returns a concrete backend. Backend
-    instances pass through unchanged. Unknown names raise
+    instances pass through unchanged. Unknown names, and anything that is
+    neither a name nor a backend, raise
     :class:`~repro.errors.ConfigurationError`.
 
     >>> get_kernel("scalar").name
@@ -418,6 +694,11 @@ def get_kernel(name: KernelLike = None, *, data=None, candidates=None) -> Kernel
         return name
     if name is None:
         name = os.environ.get("REPRO_KERNEL") or "auto"
+    elif not isinstance(name, str):
+        raise ConfigurationError(
+            "kernel must be a backend name or a KernelBackend, "
+            f"got {type(name).__name__} {name!r}"
+        )
     key = name.strip().lower()
     if key == "auto":
         return _auto_backend(data=data, candidates=candidates)
@@ -429,13 +710,3 @@ def get_kernel(name: KernelLike = None, *, data=None, candidates=None) -> Kernel
             f"unknown kernel backend {name!r}; available: {known}"
         ) from None
     return factory()
-
-
-def kernel_name(kernel: object) -> Optional[str]:
-    """Best-effort display name for a kernel backend or callable."""
-    if kernel is None:
-        return None
-    name = getattr(kernel, "name", None)
-    if isinstance(name, str) and name != "?":
-        return name
-    return getattr(kernel, "__name__", type(kernel).__name__)

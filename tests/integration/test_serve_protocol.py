@@ -203,12 +203,22 @@ class TestServeProtocol:
                     "budget_ms": 0,
                 }
             )
-            # The connection still serves after three failures.
+            bad_kernel = await client.rpc(
+                {
+                    "op": "match",
+                    "graph": "g",
+                    "query": graph_to_payload(query),
+                    "kernel": 42,
+                }
+            )
+            # The connection still serves after four failures.
             alive = await client.rpc({"op": "ping"})
             await client.close()
-            return unknown, malformed, spent, alive
+            return unknown, malformed, spent, bad_kernel, alive
 
-        unknown, malformed, spent, alive = run(with_server(service, scenario))
+        unknown, malformed, spent, bad_kernel, alive = run(
+            with_server(service, scenario)
+        )
         assert unknown == {
             "ok": False,
             "error": "no resident graph named 'nope'",
@@ -216,6 +226,7 @@ class TestServeProtocol:
         }
         assert malformed["code"] == "GraphFormatError"
         assert spent["code"] == "DeadlineExceededError"
+        assert bad_kernel["code"] == "ConfigurationError"
         assert alive["ok"]
 
     def test_concurrent_connections_interleave(self, service, data, query):

@@ -6,18 +6,24 @@ from hypothesis import strategies as st
 
 from strategies import sorted_int_lists
 
-from repro.utils.intersection import (
-    BitmapSetIndex,
+from repro.utils.kernels import (
+    BitmapKernel,
+    ScalarKernel,
+    available_kernels,
+    get_kernel,
     intersect_galloping,
     intersect_hybrid,
     intersect_merge,
-    multi_intersect,
 )
-from repro.utils.kernels import available_kernels, get_kernel
 
 #: Every registered backend (scalar, numpy, bitset, qfilter, plus any
-#: session-registered extras) — each must agree with the merge reference.
-BACKENDS = [name for name in available_kernels() if name != "auto"]
+#: session-registered extras) and the unregistered bitmap kernel — each
+#: must agree with the merge reference.
+BACKENDS = [name for name in available_kernels() if name != "auto"] + ["bitmap"]
+
+
+def make_backend(name):
+    return BitmapKernel() if name == "bitmap" else get_kernel(name)
 
 
 @given(sorted_int_lists(), sorted_int_lists())
@@ -37,7 +43,7 @@ def test_hybrid_matches_set_semantics(a, b):
 
 @given(sorted_int_lists(), sorted_int_lists())
 def test_bitmap_matches_set_semantics(a, b):
-    assert BitmapSetIndex().intersect(a, b) == sorted(set(a) & set(b))
+    assert BitmapKernel().intersect(a, b) == sorted(set(a) & set(b))
 
 
 @given(st.lists(sorted_int_lists(max_value=60, max_size=20), min_size=1, max_size=5))
@@ -45,12 +51,13 @@ def test_multi_intersect_matches_set_semantics(lists):
     expected = set(lists[0])
     for other in lists[1:]:
         expected &= set(other)
-    assert multi_intersect(lists) == sorted(expected)
+    assert ScalarKernel().multi_intersect(lists) == sorted(expected)
 
 
 @given(st.lists(sorted_int_lists(max_value=60, max_size=20), min_size=1, max_size=5))
 def test_bitmap_multi_agrees_with_hybrid_multi(lists):
-    assert BitmapSetIndex().multi_intersect(lists) == multi_intersect(lists)
+    expected = ScalarKernel().multi_intersect(lists)
+    assert BitmapKernel().multi_intersect(lists) == expected
 
 
 @given(sorted_int_lists())
@@ -66,7 +73,7 @@ def test_intersection_commutative(a, b):
 @given(sorted_int_lists(max_value=500))
 @settings(max_examples=50)
 def test_bitmap_roundtrip(a):
-    idx = BitmapSetIndex()
+    idx = BitmapKernel()
     assert idx.decode(idx.encode(a)) == a
 
 
@@ -78,7 +85,7 @@ def test_bitmap_roundtrip(a):
 @pytest.mark.parametrize("name", BACKENDS)
 @given(a=sorted_int_lists(), b=sorted_int_lists())
 def test_backend_pairwise_agrees_with_merge(name, a, b):
-    kernel = get_kernel(name)
+    kernel = make_backend(name)
     got = [int(v) for v in kernel.intersect(a, b)]
     assert got == intersect_merge(a, b)
 
@@ -90,7 +97,7 @@ def test_backend_pairwise_agrees_with_merge(name, a, b):
     )
 )
 def test_backend_multiway_agrees_with_merge(name, lists):
-    kernel = get_kernel(name)
+    kernel = make_backend(name)
     expected = list(lists[0])
     for other in lists[1:]:
         expected = intersect_merge(expected, other)
@@ -101,5 +108,5 @@ def test_backend_multiway_agrees_with_merge(name, lists):
 @given(a=sorted_int_lists())
 @settings(max_examples=25)
 def test_backend_idempotent(name, a):
-    kernel = get_kernel(name)
+    kernel = make_backend(name)
     assert [int(v) for v in kernel.intersect(a, a)] == a

@@ -16,7 +16,6 @@ import repro.graph.fingerprint
 import repro.graph.graph
 import repro.graph.io
 import repro.study.reporting
-import repro.utils.intersection
 import repro.utils.kernels
 import repro.utils.timer
 import repro.applications.containment
@@ -25,7 +24,6 @@ MODULES = [
     repro.graph.graph,
     repro.graph.fingerprint,
     repro.graph.io,
-    repro.utils.intersection,
     repro.utils.kernels,
     repro.utils.timer,
     repro.filtering.graphql,

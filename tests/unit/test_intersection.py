@@ -1,13 +1,13 @@
-"""Unit tests for the set-intersection kernels."""
+"""Unit tests for the scalar, multiway and big-int bitmap kernels."""
 
 import pytest
 
-from repro.utils.intersection import (
-    BitmapSetIndex,
+from repro.utils.kernels import (
+    BitmapKernel,
+    ScalarKernel,
     intersect_galloping,
     intersect_hybrid,
     intersect_merge,
-    multi_intersect,
 )
 
 KERNELS = [intersect_merge, intersect_galloping, intersect_hybrid]
@@ -70,60 +70,60 @@ class TestHybrid:
 
 class TestMultiIntersect:
     def test_three_lists(self):
-        assert multi_intersect([[1, 2, 3, 4], [2, 4, 6], [0, 2, 4, 8]]) == [2, 4]
+        assert ScalarKernel().multi_intersect([[1, 2, 3, 4], [2, 4, 6], [0, 2, 4, 8]]) == [2, 4]
 
     def test_single_list(self):
-        assert multi_intersect([[3, 1, 2][1:]]) == [1, 2]
+        assert ScalarKernel().multi_intersect([[3, 1, 2][1:]]) == [1, 2]
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError):
-            multi_intersect([])
+            ScalarKernel().multi_intersect([])
 
     def test_short_circuit_on_empty(self):
-        assert multi_intersect([[1], [], [1, 2, 3]]) == []
+        assert ScalarKernel().multi_intersect([[1], [], [1, 2, 3]]) == []
 
     def test_input_not_mutated(self):
         lists = [[1, 2], [2, 3]]
-        multi_intersect(lists)
+        ScalarKernel().multi_intersect(lists)
         assert lists == [[1, 2], [2, 3]]
 
 
 class TestBitmapSetIndex:
     def test_roundtrip(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         assert idx.decode(idx.encode([5, 1, 9])) == [1, 5, 9]
 
     def test_intersect(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         assert idx.intersect([1, 3, 5], [3, 4, 5]) == [3, 5]
 
     def test_multi_intersect(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         assert idx.multi_intersect([[1, 2, 3], [2, 3], [3, 9]]) == [3]
 
     def test_multi_empty_raises(self):
         with pytest.raises(ValueError):
-            BitmapSetIndex().multi_intersect([])
+            BitmapKernel().multi_intersect([])
 
     def test_cache_hits_by_identity(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         lst = [1, 2, 3]
         idx.intersect(lst, [2])
         assert id(lst) in idx._cache
 
     def test_clear(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         idx.intersect([1], [1])
         idx.clear()
         assert not idx._cache
 
     def test_empty_sets(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         assert idx.intersect([], [1, 2]) == []
         assert idx.decode(0) == []
 
     def test_agrees_with_hybrid(self):
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         a = list(range(0, 500, 3))
         b = list(range(0, 500, 5))
         assert idx.intersect(a, b) == intersect_hybrid(a, b)
@@ -133,7 +133,7 @@ class TestBitmapSetIndex:
         cache key would alias a dead list's encoding."""
         import numpy as np
 
-        idx = BitmapSetIndex()
+        idx = BitmapKernel()
         rng = np.random.default_rng(11)
         for _ in range(200):
             # Fresh lists each iteration are freed immediately, making id

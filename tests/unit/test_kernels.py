@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.intersection import intersect_merge, multi_intersect
 from repro.utils.kernels import (
     AUTO_DENSITY_THRESHOLD,
     BitsetKernel,
@@ -15,7 +14,7 @@ from repro.utils.kernels import (
     _REGISTRY,
     available_kernels,
     get_kernel,
-    kernel_name,
+    intersect_merge,
     register_kernel,
 )
 
@@ -56,6 +55,11 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
             get_kernel("simd512")
+
+    @pytest.mark.parametrize("bad", [42, 1.5, True, ["numpy"], {"k": 1}])
+    def test_non_name_raises_configuration_error(self, bad):
+        with pytest.raises(ConfigurationError, match="backend name"):
+            get_kernel(bad)
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
@@ -142,11 +146,6 @@ class TestBackendSemantics:
         large = np.arange(0, 1000, 5, dtype=np.int64)
         assert NumpyKernel().intersect(small, large).tolist() == [5, 500]
 
-    def test_kernel_name_helper(self):
-        assert kernel_name(None) is None
-        assert kernel_name(NumpyKernel()) == "numpy"
-        assert kernel_name(intersect_merge) == "intersect_merge"
-
 
 class TestBitsetEncoding:
     def test_roundtrip(self):
@@ -177,12 +176,13 @@ class TestMultiIntersectShortCircuit:
         # remaining pairwise kernel calls are skipped entirely.
         calls = []
 
-        def counting(a, b):
-            calls.append((list(a), list(b)))
-            return intersect_merge(a, b)
+        class Counting(ScalarKernel):
+            def intersect(self, a, b):
+                calls.append((list(a), list(b)))
+                return intersect_merge(a, b)
 
         lists = [[1, 2], [3, 4], [5, 6], [7, 8]]
-        assert multi_intersect(lists, kernel=counting) == []
+        assert Counting().multi_intersect(lists) == []
         assert len(calls) == 1
 
     def test_backend_default_stops_on_empty_intermediate(self):

@@ -15,7 +15,7 @@ from repro.enumeration.local_candidates import (
 from repro.errors import ConfigurationError
 from repro.filtering import AuxiliaryStructure, GraphQLFilter
 from repro.graph.ops import bfs_tree
-from repro.utils.intersection import BitmapSetIndex
+from repro.utils.kernels import BitmapKernel
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +140,7 @@ class TestIntersection:
         assert lc == [10]
 
     def test_custom_kernel(self, candidates, auxiliary):
-        bitmap = BitmapSetIndex()
-        lc_method = IntersectionLC(kernel=bitmap.intersect)
+        lc_method = IntersectionLC(kernel=BitmapKernel())
         ctx = make_ctx(candidates=candidates, auxiliary=auxiliary, mapping=[0, 4, 3, -1])
         assert lc_method.compute(ctx, 3, [1, 2], 1) == [10]
 

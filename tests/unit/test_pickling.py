@@ -16,7 +16,21 @@ from repro.core.plan import compile_plan, prepare_query, run_plan
 from repro.graph.generators import rmat_graph
 from repro.graph.query_gen import extract_query
 from repro.obs.metrics import Metrics
-from repro.utils.kernels import BitsetKernel, QFilterKernel, available_kernels
+from repro.utils.kernels import (
+    BitmapKernel,
+    BitsetKernel,
+    QFilterKernel,
+    available_kernels,
+    get_kernel,
+)
+
+#: Every registered backend plus the unregistered bitmap kernel.
+KERNEL_FACTORIES = {
+    name: (lambda name=name: get_kernel(name))
+    for name in available_kernels()
+    if name != "auto"
+}
+KERNEL_FACTORIES["bitmap"] = BitmapKernel
 
 
 @pytest.fixture(scope="module")
@@ -83,19 +97,19 @@ class TestKernelPickling:
     def test_qfilter_kernel_keeps_block_bits(self):
         kernel = QFilterKernel()
         clone = pickle.loads(pickle.dumps(kernel))
-        assert (
-            clone._index.block_bits == kernel._index.block_bits
-        )
+        assert clone.block_bits == kernel.block_bits
 
-    @pytest.mark.parametrize(
-        "name", [k for k in available_kernels() if k != "auto"]
-    )
+    @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
     def test_registry_kernels_round_trip(self, name, workload):
-        from repro.utils.kernels import get_kernel
-
         query, data = workload
-        kernel = get_kernel(name)
+        kernel = KERNEL_FACTORIES[name]()
+        a, b = data.neighbors(0), data.neighbors(1)
+        expected = kernel.intersect(a, b)
         clone = pickle.loads(pickle.dumps(kernel))
-        expected = kernel.intersect(data.neighbors(0), data.neighbors(1))
-        got = clone.intersect(data.neighbors(0), data.neighbors(1))
+        # Identity-keyed caches must arrive empty: a shipped id could be
+        # recycled by a fresh list in the receiver and alias its entry.
+        assert len(getattr(clone, "_cache", ())) == 0
+        got = clone.intersect(a, b)
         assert list(got) == list(expected)
+        fresh = clone.intersect([100, 200, 300, 400, 500], [100, 200, 300])
+        assert list(fresh) == [100, 200, 300]
