@@ -16,7 +16,8 @@ Layers:
 * :mod:`~repro.parallel.worker` — the worker-side task: attach, prepare
   (cached), enumerate one root window, return a slim result.
 * :mod:`~repro.parallel.executor` — eligibility gate, chunking, dispatch
-  + cancel polling, and the order-preserving merge.
+  + cancel polling (stopping once the finished prefix settles the
+  answer), and the order-preserving merge.
 
 Entry points: ``match(n_workers=...)``, ``MatchSession(n_workers=...)``,
 the ``REPRO_WORKERS`` environment variable and the ``--workers`` CLI

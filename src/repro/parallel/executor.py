@@ -17,21 +17,37 @@ sizes, the classic work-stealing argument.
 
 Merge semantics under limits mirror a sequential early exit: chunks are
 consumed in order, ``match_limit`` truncates inside the first chunk that
-crosses it and discards the rest, and a chunk that died on
-budget/cancellation (``solved=False``) ends the merge the way the
-sequential engine would have stopped there. With failing-set presets a
-root-level prune in the sequential run can skip work that later chunks
-still perform, so merged counters may exceed (never undercount) the
-sequential ones — embeddings are unaffected.
+crosses it, and a chunk that died on budget/cancellation
+(``solved=False``) ends the merge the way the sequential engine would
+have stopped there. Dispatch stops the same way: chunks are submitted in
+index order with at most ``n_workers + 1`` queued or running, and once
+the contiguous finished prefix *settles* — its match total reaches
+``match_limit`` or one of its chunks is unsolved — nothing more is
+submitted, unstarted chunks are cancelled, the in-flight tail is
+preempted through the match's cancel flag, and only the settled prefix
+is merged. Every chunk still runs to the global ``match_limit`` (never a
+cap tightened by timing), so the merged outcome and counters are exactly
+those of merging all windows, whatever the worker count. With
+failing-set presets a root-level prune in the sequential run can skip
+work that later chunks still perform, so merged counters may exceed
+(never undercount) the sequential ones — embeddings are unaffected.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from typing import Callable, ContextManager, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.plan import MatchPlan, PreparedQuery
 from repro.enumeration.stats import EnumerationOutcome, EnumerationStats
@@ -144,7 +160,8 @@ class ParallelContext:
         #: the session uses it to defer a concurrent close() until no
         #: worker can still be attaching to the shared segment.
         self._guard = guard
-        #: Chunk timings from the last execute() — consumed by
+        #: Chunk timings of the merged prefix from the last execute() —
+        #: every window when nothing settled early; consumed by
         #: bench_parallel's makespan model.
         self.last_chunk_seconds: List[float] = []
 
@@ -252,43 +269,67 @@ class ParallelContext:
         slot: int,
         cancel: Optional[Callable[[], bool]],
     ) -> List[ChunkResult]:
+        """Run chunks in index order until the finished prefix settles.
+
+        Returns the settled prefix (every chunk when nothing settled
+        early). Refills on any completion, so uncapped matches keep every
+        worker busy; returns only once no submitted chunk can still read
+        ``slot``.
+        """
+        in_flight: Dict[Future, int] = {}
+        finished: Dict[int, ChunkResult] = {}
+        prefix: List[ChunkResult] = []
+        prefix_matches = 0
+        submitted = 0
+        settled = False
+        flagged = False
         with span(
             "parallel.fanout", chunks=len(bounds), workers=self.n_workers
-        ):
+        ) as fanout:
             try:
-                futures = [
-                    pool.submit(
-                        _run_chunk,
-                        handle,
-                        plan,
-                        query,
-                        index,
-                        window,
-                        match_limit,
-                        deadline_at,
-                        store_limit,
-                        slot,
+                while not settled and (in_flight or submitted < len(bounds)):
+                    while (
+                        submitted < len(bounds)
+                        and len(in_flight) <= self.n_workers
+                    ):
+                        try:
+                            future = pool.submit(
+                                _run_chunk,
+                                handle,
+                                plan,
+                                query,
+                                submitted,
+                                bounds[submitted],
+                                match_limit,
+                                deadline_at,
+                                store_limit,
+                                slot,
+                            )
+                        except (BrokenProcessPool, RuntimeError) as exc:
+                            pool.broken = True
+                            raise ParallelUnavailable(str(exc)) from exc
+                        in_flight[future] = submitted
+                        submitted += 1
+                    done, _ = wait(
+                        in_flight,
+                        timeout=POLL_SECONDS,
+                        return_when=FIRST_COMPLETED,
                     )
-                    for index, window in enumerate(bounds)
-                ]
-            except (BrokenProcessPool, RuntimeError) as exc:
-                pool.broken = True
-                raise ParallelUnavailable(str(exc)) from exc
-            pending = set(futures)
-            flagged = False
-            while pending:
-                done, pending = wait(
-                    pending, timeout=POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
-                if not flagged and cancel is not None and cancel():
-                    # One store preempts every chunk of this match; the
-                    # workers notice at the next deadline stride.
-                    pool.set_flag(slot)
-                    flagged = True
-            results: List[ChunkResult] = []
-            try:
-                for future in futures:
-                    results.append(future.result())
+                    if not flagged and cancel is not None and cancel():
+                        # One store preempts every chunk of this match;
+                        # the workers notice at the next deadline stride.
+                        pool.set_flag(slot)
+                        flagged = True
+                    for future in done:
+                        finished[in_flight.pop(future)] = future.result()
+                    while not settled and len(prefix) in finished:
+                        chunk = finished.pop(len(prefix))
+                        prefix.append(chunk)
+                        prefix_matches += chunk.num_matches
+                        settled = not chunk.solved or (
+                            match_limit is not None
+                            and prefix_matches >= match_limit
+                        )
             except BrokenProcessPool as exc:
                 pool.broken = True
                 raise ParallelUnavailable(str(exc)) from exc
@@ -298,4 +339,26 @@ class ParallelContext:
                 # prevents our own close() doing this). The workers are
                 # healthy; fall back to sequential enumeration.
                 raise ParallelUnavailable(str(exc)) from exc
-        return results
+            finally:
+                self._drain(pool, slot, in_flight)
+            fanout.annotate(chunks_run=submitted)
+        return prefix
+
+    @staticmethod
+    def _drain(
+        pool: WorkerPool, slot: int, in_flight: Dict[Future, int]
+    ) -> None:
+        """Stop the chunks the answer no longer needs.
+
+        Unstarted chunks are cancelled; the rest are preempted through
+        the match's flag and awaited, so the flag is never still being
+        read when ``release_slot`` hands the slot to another match.
+        """
+        running = [f for f in in_flight if not f.cancel()]
+        if running:
+            pool.set_flag(slot)
+            wait(running)
+            if any(
+                isinstance(f.exception(), BrokenProcessPool) for f in running
+            ):
+                pool.broken = True

@@ -6,7 +6,9 @@ because the chunk grid is fixed at :data:`DEFAULT_CHUNKS` regardless of
 the worker count — identical merged counters across ``n_workers``.
 These tests pin that contract, the cancellation path, and the
 shared-memory lifecycle (publish on first parallel match, unlink on
-session close, nothing leaked by the one-shot API).
+session close, nothing leaked by the one-shot API). The early-stop cases
+pin that a capped match stops dispatching once its finished prefix
+reaches the cap, yet merges exactly what merging every window would.
 """
 
 import os
@@ -14,11 +16,22 @@ import os
 import pytest
 
 from repro.core.api import match
+from repro.core.plan import compile_plan, run_plan
 from repro.core.session import MatchSession
 from repro.enumeration.support import DEADLINE_STRIDE
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query_gen import extract_query
-from repro.parallel import DEFAULT_CHUNKS
+from repro.obs import Tracer, tracing
+from repro.parallel import (
+    DEFAULT_CHUNKS,
+    MAX_CANCEL_SLOTS,
+    ChunkResult,
+    ParallelContext,
+    SharedGraph,
+    chunk_bounds,
+    get_pool,
+    merge_chunks,
+)
 
 ALGORITHM = "GQL-opt"  # static order, no failing sets: counters must agree
 MATCH_LIMIT = 500_000  # far above the workload's match count — no capping
@@ -129,6 +142,127 @@ class TestDeterminism:
         assert par.num_matches == seq.num_matches == limit
         assert par.solved
         assert par.embeddings == sequential.embeddings[:limit]
+
+
+def _in_process_windows(plan, query, data, prepared, match_limit):
+    """Every root window run in this process, as ChunkResults."""
+    roots = prepared.candidates.size(prepared.order[0])
+    chunks = []
+    for index, window in enumerate(chunk_bounds(roots, DEFAULT_CHUNKS)):
+        result, _ = run_plan(
+            plan, query, data, prepared=prepared,
+            match_limit=match_limit, store_limit=match_limit,
+            root_window=window,
+        )
+        chunks.append(
+            ChunkResult(
+                index=index,
+                num_matches=result.num_matches,
+                solved=result.solved,
+                embeddings=list(result.embeddings),
+                stats=result.stats,
+            )
+        )
+    return chunks
+
+
+@pytest.fixture(scope="module")
+def compiled(workload):
+    query, data = workload
+    plan = compile_plan(ALGORITHM, query, data)
+    _, prepared = run_plan(plan, query, data, match_limit=1, store_limit=0)
+    return plan, prepared
+
+
+@pytest.fixture(scope="module")
+def chunk0_cap(workload, compiled):
+    """A match cap that lands strictly inside the first root window."""
+    query, data = workload
+    plan, prepared = compiled
+    first = _in_process_windows(plan, query, data, prepared, MATCH_LIMIT)[0]
+    assert first.solved and first.num_matches >= 2
+    return first.num_matches // 2
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+    def test_cap_inside_first_chunk(
+        self, workload, sequential, compiled, chunk0_cap, n_workers
+    ):
+        query, data = workload
+        plan, prepared = compiled
+        shared = SharedGraph(data)
+        ctx = ParallelContext(n_workers, lambda: shared.handle)
+        try:
+            result, _ = run_plan(
+                plan, query, data, prepared=prepared,
+                match_limit=chunk0_cap, store_limit=chunk0_cap,
+                parallel=ctx,
+            )
+        finally:
+            shared.unlink()
+        assert result.metrics.counters.get("parallel.matches") == 1
+        assert result.solved
+        assert result.num_matches == chunk0_cap
+        assert result.embeddings == sequential.embeddings[:chunk0_cap]
+        # Counters equal the merge of all 16 windows — what the fan-out
+        # returned before dispatch stopped early — for every worker count.
+        full = merge_chunks(
+            _in_process_windows(plan, query, data, prepared, chunk0_cap),
+            chunk0_cap,
+            chunk0_cap,
+        )
+        assert result.stats == full.stats
+        # Only the settled prefix — chunk 0 — was merged and timed.
+        assert len(ctx.last_chunk_seconds) == 1 < DEFAULT_CHUNKS
+
+    def test_uncapped_match_after_settled_one(
+        self, workload, sequential, chunk0_cap
+    ):
+        # The settled match preempts its tail through its cancel slot;
+        # that flag must be gone before the slot serves the next match.
+        # Every other slot is held, so both matches lease the same one.
+        query, data = workload
+        pool = get_pool(2)
+        held = [pool.acquire_slot() for _ in range(MAX_CANCEL_SLOTS - 1)]
+        try:
+            assert None not in held
+            capped = match(
+                query, data, algorithm=ALGORITHM,
+                match_limit=chunk0_cap, store_limit=0, n_workers=2,
+            )
+            full = match(
+                query, data, algorithm=ALGORITHM,
+                match_limit=MATCH_LIMIT, store_limit=MATCH_LIMIT,
+                n_workers=2,
+            )
+        finally:
+            for slot in held:
+                pool.release_slot(slot)
+        assert capped.metrics.counters.get("parallel.matches") == 1
+        assert capped.solved and capped.num_matches == chunk0_cap
+        assert full.metrics.counters.get("parallel.matches") == 1
+        assert full.solved
+        assert full.num_matches == sequential.num_matches
+        assert full.embeddings == sequential.embeddings
+
+    def test_fanout_span_reports_chunks_run(self, workload, chunk0_cap):
+        query, data = workload
+        tracer = Tracer()
+        with tracing(tracer):
+            for limit in (chunk0_cap, MATCH_LIMIT):
+                match(
+                    query, data, algorithm=ALGORITHM,
+                    match_limit=limit, store_limit=0, n_workers=1,
+                )
+        capped, full = [
+            s.attrs for s in tracer.spans if s.name == "parallel.fanout"
+        ]
+        assert capped["chunks"] == full["chunks"] == DEFAULT_CHUNKS
+        # One worker runs chunks in submission order, so chunk 0 settles
+        # the prefix before anything past the first two is submitted.
+        assert capped["chunks_run"] == 2
+        assert full["chunks_run"] == DEFAULT_CHUNKS
 
 
 class TestCancellation:

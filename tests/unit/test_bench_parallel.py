@@ -1,4 +1,13 @@
-"""Unit tests for the parallel benchmark's BENCH_parallel.json contract."""
+"""Unit tests for the parallel benchmark's BENCH_parallel.json contract.
+
+The validator's contract — the speedup floor and every rejection — is
+tested on payloads built from fixed chunk timings through the bench's
+own ``greedy_makespan``, so no assertion depends on how loaded the host
+is. One real tiny run still backs the properties that do not depend on
+timing: identical embeddings, recorded chunk timings, no leaked
+segments. ``main()`` validates every payload before writing it, so the
+floor still gates each written ``BENCH_parallel.json``.
+"""
 
 import copy
 import importlib.util
@@ -18,6 +27,11 @@ _BENCH_PATH = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_parallel.py"
 )
 
+#: Sixteen equal chunks: a 4-worker greedy schedule runs 4x faster.
+BALANCED_CHUNKS = [0.01] * 16
+#: One root's subtree dwarfs the rest: the schedule is bound by it.
+SKEWED_CHUNKS = [0.12] + [0.002] * 15
+
 
 @pytest.fixture(scope="module")
 def bench_module():
@@ -31,13 +45,60 @@ def bench_module():
 
 @pytest.fixture(scope="module")
 def payload(bench_module):
-    # Small scale, but large enough that the chunked schedule still
-    # clears the speedup floor the validator enforces.
+    # A real run at small scale. Its speedup depends on host load, so
+    # only timing-free properties are asserted on it.
     return bench_module.run_parallel_benchmark(
         vertices=1_000,
         num_queries=2,
         repeats=1,
     )
+
+
+def modeled_payload(bench_module, chunk_timings):
+    """A modeled-speedup payload, one query per list of chunk seconds."""
+    makespan = bench_module.greedy_makespan
+    queries = []
+    for seed, chunks in enumerate(chunk_timings):
+        sequential = sum(chunks)
+        queries.append(
+            {
+                "seed": seed,
+                "num_matches": 100,
+                "sequential_seconds": sequential,
+                "chunk_seconds": list(chunks),
+                "speedups": {
+                    str(w): sequential / makespan(chunks, w)
+                    for w in bench_module.WORKER_COUNTS
+                },
+                "embeddings_identical": True,
+            }
+        )
+    workers = max(bench_module.WORKER_COUNTS)
+    return {
+        "schema_version": BENCH_PARALLEL_SCHEMA_VERSION,
+        "benchmark": "parallel-enumeration",
+        "host_cpus": 2,
+        "speedup_source": "modeled",
+        "workload": {
+            "data_vertices": 1000,
+            "query_vertices": 10,
+            "num_queries": len(queries),
+            "match_limit": 500_000,
+            "chunks": bench_module.DEFAULT_CHUNKS,
+        },
+        "queries": queries,
+        "overall_speedup_4_workers": (
+            sum(sum(chunks) for chunks in chunk_timings)
+            / sum(makespan(chunks, workers) for chunks in chunk_timings)
+        ),
+        "embeddings_identical": True,
+        "shm_segments_leaked": 0,
+    }
+
+
+@pytest.fixture(scope="module")
+def fixed_payload(bench_module):
+    return modeled_payload(bench_module, [BALANCED_CHUNKS] * 2)
 
 
 class TestGreedyMakespan:
@@ -55,8 +116,8 @@ class TestGreedyMakespan:
 
 
 class TestPayload:
-    def test_validates_and_is_json_serializable(self, payload):
-        validate_bench_parallel(payload)
+    def test_validates_and_is_json_serializable(self, payload, fixed_payload):
+        validate_bench_parallel(fixed_payload)
         json.dumps(payload)
 
     def test_schema_stamp(self, payload):
@@ -72,9 +133,10 @@ class TestPayload:
         assert payload["embeddings_identical"] is True
         assert all(q["embeddings_identical"] for q in payload["queries"])
 
-    def test_clears_speedup_floor(self, payload):
+    def test_clears_speedup_floor(self, fixed_payload):
+        assert fixed_payload["overall_speedup_4_workers"] == pytest.approx(4.0)
         assert (
-            payload["overall_speedup_4_workers"] >= MIN_PARALLEL_SPEEDUP
+            fixed_payload["overall_speedup_4_workers"] >= MIN_PARALLEL_SPEEDUP
         )
 
     def test_no_shared_memory_leaked(self, payload):
@@ -88,45 +150,51 @@ class TestPayload:
 
 
 class TestValidatorRejections:
-    def test_wrong_schema_version(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_wrong_schema_version(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         bad["schema_version"] = 99
         with pytest.raises(TraceSchemaError, match="schema_version"):
             validate_bench_parallel(bad)
 
-    def test_speedup_below_floor(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_speedup_below_floor(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         bad["overall_speedup_4_workers"] = 1.1
         with pytest.raises(TraceSchemaError, match="floor"):
             validate_bench_parallel(bad)
 
-    def test_nonidentical_embeddings(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_skewed_chunks_fall_below_floor(self, bench_module):
+        bad = modeled_payload(bench_module, [SKEWED_CHUNKS] * 2)
+        assert bad["overall_speedup_4_workers"] < MIN_PARALLEL_SPEEDUP
+        with pytest.raises(TraceSchemaError, match="floor"):
+            validate_bench_parallel(bad)
+
+    def test_nonidentical_embeddings(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         bad["queries"][0]["embeddings_identical"] = False
         with pytest.raises(TraceSchemaError, match="embeddings_identical"):
             validate_bench_parallel(bad)
 
-    def test_leaked_segments(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_leaked_segments(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         bad["shm_segments_leaked"] = 2
         with pytest.raises(TraceSchemaError, match="shm_segments_leaked"):
             validate_bench_parallel(bad)
 
-    def test_unknown_speedup_source(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_unknown_speedup_source(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         bad["speedup_source"] = "guessed"
         with pytest.raises(TraceSchemaError, match="speedup_source"):
             validate_bench_parallel(bad)
 
-    def test_measured_requires_four_cpus(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_measured_requires_four_cpus(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         bad["speedup_source"] = "measured"
         bad["host_cpus"] = 1
         with pytest.raises(TraceSchemaError, match="CPUs"):
             validate_bench_parallel(bad)
 
-    def test_missing_four_worker_speedup(self, payload):
-        bad = copy.deepcopy(payload)
+    def test_missing_four_worker_speedup(self, fixed_payload):
+        bad = copy.deepcopy(fixed_payload)
         del bad["queries"][0]["speedups"]["4"]
         with pytest.raises(TraceSchemaError, match="speedups"):
             validate_bench_parallel(bad)

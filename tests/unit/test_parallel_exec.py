@@ -1,10 +1,15 @@
 """Unit tests for the fan-out building blocks (repro.parallel.executor)."""
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.enumeration.stats import EnumerationStats
 from repro.parallel import (
     DEFAULT_CHUNKS,
+    ParallelContext,
+    ParallelUnavailable,
     chunk_bounds,
     merge_chunks,
     resolve_workers,
@@ -109,6 +114,143 @@ class TestMergeChunks:
         outcome = merge_chunks(chunks, match_limit=None, store_limit=3)
         assert outcome.embeddings == [(1,), (2,), (3,)]
         assert outcome.num_matches == 4
+
+
+class ScriptedPool:
+    """A process-free stand-in for WorkerPool with scripted chunk fates.
+
+    ``fates`` maps a chunk index to ``"done"`` (finishes at submit),
+    ``"unsolved"`` (finishes at submit on budget death), ``"running"``
+    (started; finishes unsolved once the match is flagged, or solved
+    when chunk ``finish_when_submitted`` is submitted), ``"queued"``
+    (never started, so cancellable) or ``"broken"`` (the pool died under
+    it). Unlisted chunks are ``"done"``; a finished chunk carries
+    ``matches[index]`` embeddings (default 1).
+    """
+
+    def __init__(self, fates=None, matches=None, finish_when_submitted=None):
+        self.fates = fates or {}
+        self.matches = matches or {}
+        self.finish_when_submitted = finish_when_submitted
+        self.futures = {}
+        self.submitted = []
+        self.running_at_submit = {}
+        self.flagged = False
+        self.broken = False
+
+    def _result(self, index, solved=True):
+        embeddings = [(index,)] * self.matches.get(index, 1)
+        return make_chunk(index, embeddings, solved)
+
+    def in_flight(self):
+        return [i for i, f in self.futures.items() if not f.done()]
+
+    def submit(self, fn, *args):
+        index = args[3]
+        self.running_at_submit[index] = self.in_flight()
+        self.submitted.append(index)
+        future = Future()
+        self.futures[index] = future
+        fate = self.fates.get(index, "done")
+        if fate in ("done", "unsolved"):
+            future.set_running_or_notify_cancel()
+            future.set_result(self._result(index, fate == "done"))
+        elif fate == "running":
+            future.set_running_or_notify_cancel()
+        elif fate == "broken":
+            future.set_running_or_notify_cancel()
+            future.set_exception(BrokenProcessPool("worker died"))
+        if index == self.finish_when_submitted:
+            for i in self.in_flight():
+                if self.fates.get(i) == "running":
+                    self.futures[i].set_result(self._result(i))
+        return future
+
+    def set_flag(self, slot):
+        # Workers notice the flag at their next stride and stop unsolved.
+        self.flagged = True
+        for i in self.in_flight():
+            if self.futures[i].running():
+                self.futures[i].set_result(self._result(i, solved=False))
+
+
+def dispatch(pool, n_workers, match_limit=None, chunks=DEFAULT_CHUNKS):
+    ctx = ParallelContext(n_workers, handle_provider=None)
+    bounds = [(i, i + 1) for i in range(chunks)]
+    return ctx._dispatch(
+        pool, None, None, None, bounds, match_limit, None, 100, 0, None
+    )
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("n_workers", (1, 2, 4))
+    def test_uncapped_runs_every_chunk_in_order(self, n_workers):
+        pool = ScriptedPool()
+        prefix = dispatch(pool, n_workers)
+        assert [c.index for c in prefix] == list(range(DEFAULT_CHUNKS))
+        assert pool.submitted == list(range(DEFAULT_CHUNKS))
+        assert not pool.flagged
+
+    @pytest.mark.parametrize("n_workers", (1, 2, 4))
+    def test_at_most_one_chunk_queued_beyond_the_workers(self, n_workers):
+        pool = ScriptedPool(
+            fates={0: "running"}, finish_when_submitted=DEFAULT_CHUNKS - 1
+        )
+        dispatch(pool, n_workers)
+        for running in pool.running_at_submit.values():
+            assert len(running) + 1 <= n_workers + 1
+
+    def test_refills_while_the_prefix_is_stuck(self):
+        # Chunk 0 runs long; later completions still free places that
+        # are refilled, so every worker stays busy.
+        pool = ScriptedPool(
+            fates={0: "running"}, finish_when_submitted=DEFAULT_CHUNKS - 1
+        )
+        prefix = dispatch(pool, 2)
+        assert 0 in pool.running_at_submit[DEFAULT_CHUNKS - 1]
+        assert len(prefix) == DEFAULT_CHUNKS
+        assert not pool.flagged
+
+    def test_cap_settles_the_prefix_and_stops_the_tail(self):
+        pool = ScriptedPool(
+            fates={1: "running", 2: "queued"}, matches={0: 5}
+        )
+        prefix = dispatch(pool, 2, match_limit=5)
+        assert [c.index for c in prefix] == [0]
+        assert pool.submitted == [0, 1, 2]
+        # The started chunk was preempted through the flag and awaited;
+        # the queued one never ran.
+        assert pool.flagged
+        assert pool.futures[1].done()
+        assert pool.futures[2].cancelled()
+
+    def test_unsolved_chunk_settles_the_prefix(self):
+        pool = ScriptedPool(fates={1: "unsolved"})
+        prefix = dispatch(pool, 1)
+        assert [c.index for c in prefix] == [0, 1]
+        assert not prefix[-1].solved
+        assert pool.submitted == [0, 1]
+
+    def test_chunk_past_an_unfinished_prefix_does_not_settle(self):
+        # Chunk 2 reaches the cap alone, but chunks 0-1 may still be what
+        # the sequential run returns: dispatch must wait for them.
+        pool = ScriptedPool(
+            fates={0: "running"},
+            matches={2: 5},
+            finish_when_submitted=DEFAULT_CHUNKS - 1,
+        )
+        prefix = dispatch(pool, 2, match_limit=5)
+        assert [c.index for c in prefix] == [0, 1, 2]
+        assert pool.futures[0].result().solved
+
+    def test_broken_pool_falls_back_after_draining(self):
+        pool = ScriptedPool(fates={0: "running", 1: "broken"})
+        with pytest.raises(ParallelUnavailable):
+            dispatch(pool, 2)
+        assert pool.broken
+        assert all(
+            f.done() for f in pool.futures.values() if not f.cancelled()
+        )
 
 
 class TestResolveWorkers:
